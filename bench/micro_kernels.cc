@@ -153,20 +153,4 @@ void BM_MultisetExtends(benchmark::State& state) {
 BENCHMARK(BM_MultisetExtends<12>)->Apply(LevelArgs);
 BENCHMARK(BM_MultisetExtends<48>)->Apply(LevelArgs);
 
-/// The join preamble: remaining = smaller.edges \ base.edges at match
-/// sizes (both sorted, <= kMaxQueryEdges entries).
-void BM_SortedDifference(benchmark::State& state) {
-  const Level level = LevelArg(state);
-  std::vector<uint32_t> haystack = {2, 5, 9, 14, 17, 23, 31, 40};
-  std::vector<uint32_t> needles = {5, 11, 17, 35};
-  uint32_t out[8];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(util::simd::SortedDifferenceU32(
-        level, needles.data(), needles.size(), haystack.data(),
-        haystack.size(), out));
-  }
-  ApplyLevelCounters(state);
-}
-BENCHMARK(BM_SortedDifference)->Apply(LevelArgs);
-
 }  // namespace

@@ -11,8 +11,9 @@ namespace core {
 
 EqualOpportunism::EqualOpportunism(const tpstry::Tpstry* trie,
                                    const graph::NeighborView* neighborhood,
-                                   EqualOpportunismConfig config)
-    : trie_(trie), neighborhood_(neighborhood), config_(config) {}
+                                   EqualOpportunismConfig config,
+                                   const partition::HubTallyCache* hub)
+    : trie_(trie), neighborhood_(neighborhood), hub_(hub), config_(config) {}
 
 double EqualOpportunism::RationWith(double size, double smin,
                                     double avg) const {
@@ -133,6 +134,14 @@ AllocationDecision EqualOpportunism::DecideBids(
     nbr_rows_.assign(nbr_cached_vertices_.size() * k, 0);
     for (size_t ci = 0; ci < nbr_cached_vertices_.size(); ++ci) {
       uint32_t* row = &nbr_rows_[ci * k];
+      // A materialised hub row holds exactly the integers the tally below
+      // would produce (LDG's TallyNeighbors reads it the same way).
+      if (hub_ != nullptr) {
+        if (const uint32_t* counts = hub_->Counts(nbr_cached_vertices_[ci])) {
+          std::copy(counts, counts + k, row);
+          continue;
+        }
+      }
       // Tally page by page; the kernel accumulates, so the sums don't see
       // the arena's chunk boundaries.
       neighborhood_->Neighbors(nbr_cached_vertices_[ci])

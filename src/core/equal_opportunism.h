@@ -25,6 +25,7 @@
 
 #include "graph/neighbor_view.h"
 #include "motif/match_list.h"
+#include "partition/hub_tally.h"
 #include "partition/partitioning.h"
 #include "tpstry/tpstry.h"
 
@@ -63,10 +64,13 @@ class EqualOpportunism {
  public:
   /// `trie` supplies match supports, `neighborhood` the streamed-so-far
   /// adjacency for the neighbour-bid term (may be nullptr to disable it);
-  /// both must outlive the allocator.
+  /// `hub` (nullable) the caller's hub rows over that same adjacency and
+  /// partitioning, read in place of a hub's adjacency walk. All must
+  /// outlive the allocator.
   EqualOpportunism(const tpstry::Tpstry* trie,
                    const graph::NeighborView* neighborhood,
-                   EqualOpportunismConfig config);
+                   EqualOpportunismConfig config,
+                   const partition::HubTallyCache* hub = nullptr);
 
   /// The rationing function l(Si) in [0, 1].
   double Ration(graph::PartitionId si, const partition::Partitioning& p) const;
@@ -105,6 +109,7 @@ class EqualOpportunism {
 
   const tpstry::Tpstry* trie_;
   const graph::NeighborView* neighborhood_;
+  const partition::HubTallyCache* hub_;
   EqualOpportunismConfig config_;
 
   /// Per-eviction scratch (Decide is on the eviction hot path).

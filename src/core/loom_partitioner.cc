@@ -31,8 +31,8 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
   }
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
                                                    options.matcher);
-  allocator_ = std::make_unique<EqualOpportunism>(trie_.get(), &seen_,
-                                                  options.equal_opportunism);
+  allocator_ = std::make_unique<EqualOpportunism>(
+      trie_.get(), &seen_, options.equal_opportunism, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options.window_size + 1);
@@ -109,7 +109,27 @@ void LoomPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     admit_scratch_[i] = matcher_->SingleEdgeMotif(batch[i]) != nullptr;
   }
+  // Per-vertex state of edges ahead of the cursor is prefetched in two
+  // steps: the label slot and chain header first, then — once the header
+  // has landed — the chain's tail slot and the partition-table entry.
+  constexpr size_t kHeaderDistance = 16;
+  constexpr size_t kTailDistance = 8;
   for (size_t i = 0; i < batch.size(); ++i) {
+    if (i + kHeaderDistance < batch.size()) {
+      const stream::StreamEdge& ahead = batch[i + kHeaderDistance];
+      seen_.PrefetchVertex(ahead.u);
+      seen_.PrefetchVertex(ahead.v);
+    }
+    if (i + kTailDistance < batch.size()) {
+      const stream::StreamEdge& ahead = batch[i + kTailDistance];
+      seen_.PrefetchAppend(ahead.u);
+      seen_.PrefetchAppend(ahead.v);
+      // Re-read per edge: assignments grow the table.
+      const std::span<const graph::PartitionId> table =
+          partitioning_.assignments();
+      if (ahead.u < table.size()) __builtin_prefetch(&table[ahead.u]);
+      if (ahead.v < table.size()) __builtin_prefetch(&table[ahead.v]);
+    }
     IngestWithAdmission(batch[i], admit_scratch_[i] != 0);
   }
 }

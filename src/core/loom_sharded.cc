@@ -34,7 +34,7 @@ LoomShardedPartitioner::LoomShardedPartitioner(
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
                                                    options_.loom.matcher);
   allocator_ = std::make_unique<EqualOpportunism>(
-      trie_.get(), &seen_, options_.loom.equal_opportunism);
+      trie_.get(), &seen_, options_.loom.equal_opportunism, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options_.loom.window_size + 1);

@@ -264,6 +264,21 @@ class AdjacencyArena {
   /// slot must exist (EnsureSlot/Reserve).
   void Append(VertexId v, VertexId w);
 
+  /// Cache hints for a coming Append(v, ·); neither changes any state.
+  /// PrefetchChain pulls v's chain header. PrefetchTail pulls the tail
+  /// slot the next append writes — it reads the header, so issue it once
+  /// PrefetchChain has had time to land. Writer thread only.
+  void PrefetchChain(VertexId v) const {
+    if (v < chains_.size()) __builtin_prefetch(&chains_[v]);
+  }
+  void PrefetchTail(VertexId v) const {
+    if (v >= chains_.size()) return;
+    const Chain& c = chains_[v];
+    if (c.tail != nullptr) {
+      __builtin_prefetch(c.tail->slots() + c.tail_used, /*rw=*/1);
+    }
+  }
+
   /// Published length of v's chain (acquire; 0 for out-of-range v).
   uint32_t Degree(VertexId v) const {
     if (v >= chains_.size()) return 0;

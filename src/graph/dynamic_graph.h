@@ -62,6 +62,16 @@ class DynamicGraph final : public NeighborView {
   /// differential test).
   void AddEdge(VertexId u, VertexId v);
 
+  /// Cache hints for an edge at `v` a fixed distance ahead of the writer
+  /// (no state change): PrefetchVertex pulls v's label slot and chain
+  /// header, PrefetchAppend — issued later, once those have landed — the
+  /// chain's tail slot (AdjacencyArena::PrefetchChain/PrefetchTail).
+  void PrefetchVertex(VertexId v) const {
+    if (v < labels_.size()) __builtin_prefetch(&labels_[v]);
+    arena_.PrefetchChain(v);
+  }
+  void PrefetchAppend(VertexId v) const { arena_.PrefetchTail(v); }
+
   /// Number of vertex slots (max touched id + 1; untouched slots have
   /// kInvalidLabel and degree 0).
   size_t NumSlots() const { return labels_.size(); }

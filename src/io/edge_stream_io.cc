@@ -264,7 +264,16 @@ void FileEdgeSource::ReadHeader() {
                       std::to_string(kBinaryVersion) + ")");
     }
     expected_checksum_ = expected_checksum;
-    info_.labels.reserve(label_count);
+    // Each label costs at least its 2-byte length prefix, so the bytes
+    // after the fixed header bound the table (and what is reserved for it).
+    const uint64_t label_bound = BytesLeft() / 2;
+    if (!follow_.follow && label_count > label_bound) {
+      Fail(path_, "header label_count " + std::to_string(label_count) +
+                      " exceeds " + std::to_string(label_bound) +
+                      ", the most labels the rest of the file can hold (2 "
+                      "bytes each at least)");
+    }
+    info_.labels.reserve(std::min<uint64_t>(label_count, label_bound));
     for (uint32_t i = 0; i < label_count; ++i) {
       uint16_t len = 0;
       if (!ReadRaw(in_, &len)) {
@@ -278,6 +287,17 @@ void FileEdgeSource::ReadHeader() {
         Fail(path_, "truncated label table");
       }
       info_.labels.push_back(std::move(name));
+    }
+    // A closed stream's edge_count was back-patched by the writer; the
+    // payload must hold that many records. (While a writer still has the
+    // file open the count reads 0, which always fits.)
+    const uint64_t edge_bound = BytesLeft() / kRecordBytes;
+    if (!follow_.follow && info_.edge_count > edge_bound) {
+      Fail(path_, "truncated: header edge_count " +
+                      std::to_string(info_.edge_count) + " exceeds " +
+                      std::to_string(edge_bound) + ", the most " +
+                      std::to_string(kRecordBytes) +
+                      "-byte records the payload can hold");
     }
   } else {
     // Text: the whole first line must be the magic comment (an exact
@@ -346,6 +366,14 @@ void FileEdgeSource::ReadHeader() {
     }
   }
   data_start_ = in_.tellg();
+}
+
+uint64_t FileEdgeSource::BytesLeft() {
+  const std::streampos here = in_.tellg();
+  in_.seekg(0, std::ios::end);
+  const std::streampos end = in_.tellg();
+  in_.seekg(here);
+  return end > here ? static_cast<uint64_t>(end - here) : 0;
 }
 
 bool FileEdgeSource::Stopped() const {

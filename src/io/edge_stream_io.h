@@ -173,6 +173,9 @@ class FileEdgeSource : public engine::EdgeSource {
 
  private:
   void ReadHeader();  // positions the file at the first edge record
+  /// Bytes between the read position and the end of the file (the
+  /// position is kept).
+  uint64_t BytesLeft();
   /// Follow-mode batch fill: blocks (polling) until at least one complete
   /// record is available or the stop signal fires (then returns 0).
   size_t ReadFollow(std::span<stream::StreamEdge> out);

@@ -52,6 +52,10 @@ class MatchList {
   /// invalidating `h` — if an identical live match already exists.
   bool Commit(MatchHandle h);
 
+  /// True if a live match has content key `key` (Match::Key()): Commit
+  /// would reject a record with that key as a duplicate.
+  bool ContainsLive(uint64_t key) const { return live_keys_.Contains(key); }
+
   /// Discards a record acquired but not committed.
   void Abort(MatchHandle h) { pool_.Release(h); }
 

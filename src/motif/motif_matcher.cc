@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-
-#include "util/simd.h"
+#include <iterator>
 
 namespace loom {
 namespace motif {
@@ -96,35 +95,44 @@ MatchHandle MotifMatcher::TryExtend(MatchHandle mh, const stream::StreamEdge& e,
   return gh;
 }
 
+const tpstry::TpsNode* MotifMatcher::AbsorbChild(const Match& m,
+                                                  uint32_t node_id,
+                                                  const stream::StreamEdge& se) {
+  const uint32_t deg_u = m.DegreeOf(se.u);
+  const uint32_t deg_v = m.DegreeOf(se.v);
+  if (deg_u == 0 && deg_v == 0) return nullptr;  // not incident yet; defer
+  calc_->FactorsForEdgeAddition(se.label_u, deg_u + 1, se.label_v, deg_v + 1,
+                                &delta_);
+  return FindMotifChildMemo(node_id);
+}
+
 bool MotifMatcher::JoinRecurse(uint32_t node_id,
                                std::vector<graph::EdgeId>& remaining,
+                               size_t first,
                                const stream::SlidingWindow& window,
                                MatchList* ml) {
   if (remaining.empty()) {
-    const MatchHandle jh = ml->Acquire();
-    Match& joined = ml->match(jh);
-    joined.CopyFrom(cand_);
-    joined.node_id = node_id;
-    if (ml->Commit(jh)) ++stats_.join_matches;
-    // Either way the join succeeded structurally.
+    // Probe the live-key set first, so a join that rebuilds a live match
+    // takes no pool slot. Either way the join succeeded structurally.
+    cand_.node_id = node_id;
+    if (!ml->ContainsLive(cand_.Key())) {
+      const MatchHandle jh = ml->Acquire();
+      ml->match(jh).CopyFrom(cand_);
+      if (ml->Commit(jh)) ++stats_.join_matches;
+    }
     return true;
   }
   if (!node_extendable_[node_id]) return false;  // no motif children at all
-  for (size_t i = 0; i < remaining.size(); ++i) {
+  for (size_t i = first; i < remaining.size(); ++i) {
     const graph::EdgeId eid = remaining[i];
     const stream::StreamEdge* se = window.Find(eid);
     if (se == nullptr) return false;  // constituent edge left the window
-    const uint32_t deg_u = cand_.DegreeOf(se->u);
-    const uint32_t deg_v = cand_.DegreeOf(se->v);
-    if (deg_u == 0 && deg_v == 0) continue;  // not incident yet; defer
-    calc_->FactorsForEdgeAddition(se->label_u, deg_u + 1, se->label_v,
-                                  deg_v + 1, &delta_);
-    const tpstry::TpsNode* c = FindMotifChildMemo(node_id);
+    const tpstry::TpsNode* c = AbsorbChild(cand_, node_id, *se);
     if (c == nullptr) continue;
     // Tentatively absorb eid, recurse, undo on failure.
     cand_.AddEdge(eid, se->u, se->v);
     remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(i));
-    if (JoinRecurse(c->id, remaining, window, ml)) return true;
+    if (JoinRecurse(c->id, remaining, 0, window, ml)) return true;
     remaining.insert(remaining.begin() + static_cast<ptrdiff_t>(i), eid);
     cand_.RemoveEdge(eid, se->u, se->v);
   }
@@ -135,13 +143,11 @@ void MotifMatcher::TryJoin(MatchHandle base_h, MatchHandle small_h,
                            const stream::SlidingWindow& window, MatchList* ml) {
   const Match& base = ml->match(base_h);
   const Match& smaller = ml->match(small_h);
-  // remaining = smaller.edges \ base.edges — the per-attempt membership
-  // tests, batched through the kernel layer (every needle against the
-  // whole base edge set in 8-lane chunks).
-  remaining_.resize(smaller.edges.size());
-  remaining_.resize(util::simd::SortedDifferenceU32(
-      smaller.edges.data(), smaller.edges.size(), base.edges.data(),
-      base.edges.size(), remaining_.data()));
+  // remaining = smaller.edges \ base.edges (both sorted, 1-4 ids each).
+  remaining_.clear();
+  std::set_difference(smaller.edges.begin(), smaller.edges.end(),
+                      base.edges.begin(), base.edges.end(),
+                      std::back_inserter(remaining_));
   if (remaining_.empty()) return;  // smaller ⊆ base: nothing new
   // A successful join absorbs ALL of `remaining` via motif children, ending
   // at base+|remaining| edges; if that exceeds the largest motif, some step
@@ -149,8 +155,19 @@ void MotifMatcher::TryJoin(MatchHandle base_h, MatchHandle small_h,
   // copying the candidate or touching signatures.
   if (base.edges.size() + remaining_.size() > max_motif_edges_) return;
   ++stats_.join_attempts;
-  cand_.CopyFrom(base);
-  JoinRecurse(base.node_id, remaining_, window, ml);
+  // JoinRecurse's first level, read against `base` itself: almost every
+  // attempt absorbs nothing there, so the candidate is copied only once
+  // some edge can be absorbed. Same order, same memoised probe; the
+  // recursion then resumes at that edge.
+  if (!node_extendable_[base.node_id]) return;
+  for (size_t i = 0; i < remaining_.size(); ++i) {
+    const stream::StreamEdge* se = window.Find(remaining_[i]);
+    if (se == nullptr) return;  // constituent edge left the window
+    if (AbsorbChild(base, base.node_id, *se) == nullptr) continue;
+    cand_.CopyFrom(base);
+    JoinRecurse(base.node_id, remaining_, i, window, ml);
+    return;
+  }
 }
 
 void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,

@@ -101,11 +101,17 @@ class MotifMatcher {
   void TryJoin(MatchHandle base, MatchHandle smaller,
                const stream::SlidingWindow& window, MatchList* ml);
 
+  /// The motif child `m` (at trie node `node_id`) grows into by absorbing
+  /// `se`, or nullptr when `se` does not touch `m` yet or forms no motif.
+  const tpstry::TpsNode* AbsorbChild(const Match& m, uint32_t node_id,
+                                     const stream::StreamEdge& se);
+
   /// Recursive work-horse of TryJoin: grows the candidate in `cand_` (node
-  /// `node_id`) by any absorbable edge from `remaining`; succeeds when
-  /// `remaining` empties.
+  /// `node_id`) by any absorbable edge from `remaining`, trying them from
+  /// index `first` on; succeeds when `remaining` empties.
   bool JoinRecurse(uint32_t node_id, std::vector<graph::EdgeId>& remaining,
-                   const stream::SlidingWindow& window, MatchList* ml);
+                   size_t first, const stream::SlidingWindow& window,
+                   MatchList* ml);
 
   const tpstry::Tpstry* trie_;
   const signature::SignatureCalculator* calc_;

@@ -59,18 +59,6 @@ bool MultisetExtendsScalar(const uint32_t* base, size_t n,
   return i == n && j == d;
 }
 
-size_t SortedDifferenceScalar(const uint32_t* needles, size_t m,
-                              const uint32_t* haystack, size_t n,
-                              uint32_t* out) {
-  size_t written = 0;
-  for (size_t i = 0; i < m; ++i) {
-    if (!std::binary_search(haystack, haystack + n, needles[i])) {
-      out[written++] = needles[i];
-    }
-  }
-  return written;
-}
-
 /// Residue in [1, p]: the paper replaces 0 with p so factors are never zero.
 inline uint32_t NonZeroModI64(int64_t x, uint32_t p) {
   int64_t r = x % static_cast<int64_t>(p);
@@ -436,41 +424,6 @@ __attribute__((target("avx2"))) void GatherAVX2(const uint32_t* table,
   for (; i < n; ++i) out[i] = idx[i] < table_n ? table[idx[i]] : oob;
 }
 
-/// Haystacks at or under kMaxQueryEdges-many match edges fit three 8-lane
-/// chunks; each needle compares against all of them branch-free. Masked
-/// maskload lanes read as 0, so every compare is ANDed with its chunk's
-/// lane bits (EdgeId 0 is a legal needle).
-__attribute__((target("avx2"))) size_t SortedDifferenceAVX2(
-    const uint32_t* needles, size_t m, const uint32_t* haystack, size_t n,
-    uint32_t* out) {
-  assert(n <= 24 && n > 0);
-  __m256i chunk[3];
-  int lane_bits[3];
-  const size_t chunks = (n + 7) / 8;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t lanes = n - c * 8 < 8 ? n - c * 8 : 8;
-    alignas(32) int32_t sel[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (size_t l = 0; l < lanes; ++l) sel[l] = -1;
-    const __m256i mask =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(sel));
-    chunk[c] = _mm256_maskload_epi32(
-        reinterpret_cast<const int*>(haystack + c * 8), mask);
-    lane_bits[c] = (1 << lanes) - 1;
-  }
-  size_t written = 0;
-  for (size_t i = 0; i < m; ++i) {
-    const __m256i needle = _mm256_set1_epi32(static_cast<int>(needles[i]));
-    int found = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-      found |= _mm256_movemask_ps(_mm256_castsi256_ps(
-                   _mm256_cmpeq_epi32(chunk[c], needle))) &
-               lane_bits[c];
-    }
-    if (found == 0) out[written++] = needles[i];
-  }
-  return written;
-}
-
 __attribute__((target("avx2"))) void TallyAVX2(const uint32_t* vals, size_t n,
                                                uint32_t k, uint32_t* counts) {
   // Below ~one pack-chunk per partition sweep — or for wide k — the plain
@@ -814,24 +767,6 @@ bool MultisetExtendsU32(Level level, const uint32_t* base, size_t n,
 bool MultisetExtendsU32(const uint32_t* base, size_t n, const uint32_t* delta,
                         size_t d, const uint32_t* grown, size_t m) {
   return MultisetExtendsU32(ActiveLevel(), base, n, delta, d, grown, m);
-}
-
-size_t SortedDifferenceU32(Level level, const uint32_t* needles, size_t m,
-                           const uint32_t* haystack, size_t n, uint32_t* out) {
-  if (n == 0) {
-    for (size_t i = 0; i < m; ++i) out[i] = needles[i];
-    return m;
-  }
-  if (n > 24) {  // beyond kMaxQueryEdges-sized matches: binary search wins
-    return SortedDifferenceScalar(needles, m, haystack, n, out);
-  }
-  LOOM_SIMD_DISPATCH(level, SortedDifferenceScalar(needles, m, haystack, n, out),
-                     SortedDifferenceScalar(needles, m, haystack, n, out),
-                     SortedDifferenceAVX2(needles, m, haystack, n, out));
-}
-size_t SortedDifferenceU32(const uint32_t* needles, size_t m,
-                           const uint32_t* haystack, size_t n, uint32_t* out) {
-  return SortedDifferenceU32(ActiveLevel(), needles, m, haystack, n, out);
 }
 
 void ResidueDiffU16(Level level, const uint16_t* a, const uint16_t* b,

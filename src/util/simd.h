@@ -113,18 +113,6 @@ bool MultisetExtendsU32(Level level, const uint32_t* base, size_t n,
 bool MultisetExtendsU32(const uint32_t* base, size_t n, const uint32_t* delta,
                         size_t d, const uint32_t* grown, size_t m);
 
-/// Writes the needles NOT present in sorted `haystack`[0..n) to out (in
-/// their original order) and returns how many were written. The join
-/// preamble of Alg. 2: remaining = smaller.edges \ base.edges, with match
-/// edge sets capped at kMaxQueryEdges (the SIMD levels compare each needle
-/// against the whole haystack in 8-lane chunks instead of binary
-/// searching). out must not alias haystack; out == needles is allowed
-/// (in-place filter).
-size_t SortedDifferenceU32(Level level, const uint32_t* needles, size_t m,
-                           const uint32_t* haystack, size_t n, uint32_t* out);
-size_t SortedDifferenceU32(const uint32_t* needles, size_t m,
-                           const uint32_t* haystack, size_t n, uint32_t* out);
-
 // ---- finite-field residues (signature layer; paper regime p <= 255) ----
 
 /// out[i] = nonzero-mod(a[i] - b[i], p): the residue in [1, p] with 0

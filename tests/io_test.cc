@@ -177,8 +177,10 @@ TEST(EdgeStreamErrorTest, TruncatedFileIsDetected) {
     }
     std::ofstream(w.path, std::ios::binary | std::ios::trunc) << bytes;
 
-    io::FileEdgeSource source(w.path.string());
+    // Binary streams are caught by the header check (the payload cannot
+    // hold the declared records), text streams at the short read.
     try {
+      io::FileEdgeSource source(w.path.string());
       Drain(source);
       FAIL() << "truncated " << io::ToString(format) << " should throw";
     } catch (const std::runtime_error& e) {
@@ -186,6 +188,39 @@ TEST(EdgeStreamErrorTest, TruncatedFileIsDetected) {
           << e.what();
     }
   }
+}
+
+// Header fields that size allocations are bounded by the file before any
+// reserve: a flipped count must fail with an error naming the field, the
+// claimed value and the bound, not end in std::bad_alloc.
+void ExpectHeaderRejected(const std::string& name, size_t offset,
+                          uint64_t value, size_t width,
+                          const std::string& field) {
+  const Written w = WriteDataset(io::StreamFormat::kBinary, name);
+  std::string bytes = FileBytes(w.path);
+  std::memcpy(bytes.data() + offset, &value, width);  // little-endian host
+  std::ofstream(w.path, std::ios::binary | std::ios::trunc) << bytes;
+  try {
+    io::FileEdgeSource source(w.path.string());
+    FAIL() << field << " = " << value << " should be rejected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(value)), std::string::npos) << what;
+    EXPECT_NE(what.find("exceeds"), std::string::npos) << what;
+  }
+}
+
+TEST(EdgeStreamErrorTest, FlippedLabelCountIsBoundedByFileSize) {
+  // label_count is the u32 at byte 24 of the 36-byte header.
+  ExpectHeaderRejected("flipped_label_count", 24, uint64_t{0x40000003}, 4,
+                       "label_count");
+}
+
+TEST(EdgeStreamErrorTest, EdgeCountBeyondPayloadIsRejected) {
+  // edge_count is the u64 at byte 8.
+  ExpectHeaderRejected("huge_edge_count", 8, uint64_t{1} << 40, 8,
+                       "edge_count");
 }
 
 TEST(EdgeStreamErrorTest, BinaryChecksumCatchesPayloadCorruption) {

@@ -141,6 +141,55 @@ TEST_F(JoinMatcherTest, BridgingEdgeJoinsTwoMatches) {
   EXPECT_TRUE(found_three);
 }
 
+TEST_F(JoinMatcherTest, DuplicateJoinTakesNoPoolSlot) {
+  // Same stream as BridgingEdgeJoinsTwoMatches. Feeding the bridge e2 makes
+  // joins that rebuild live matches: {e2} absorbing {e1} rebuilds the
+  // extension {e1,e2}, and {e0,e2} absorbing {e1} rebuilds the first join
+  // {e0,e1,e2}. Such a join must not take (and give back) a pool slot: the
+  // pool hands out exactly one slot per committed match.
+  Feed(E(0, 1, a_, 2, b_));
+  Feed(E(1, 3, a_, 4, b_));
+  const MatchPool& pool = ml_.pool();
+  const uint64_t allocs_before =
+      pool.fresh_allocations() + pool.reused_allocations();
+  const size_t added_before = ml_.TotalAdded();
+  const MatcherStats before = matcher_->stats();
+  Feed(E(2, 2, b_, 3, a_));
+  const size_t committed = ml_.TotalAdded() - added_before;
+  // Joins were attempted beyond the ones that registered a new match.
+  EXPECT_GT(matcher_->stats().join_attempts - before.join_attempts,
+            matcher_->stats().join_matches - before.join_matches);
+  EXPECT_EQ(pool.fresh_allocations() + pool.reused_allocations() -
+                allocs_before,
+            committed);
+}
+
+TEST_F(JoinMatcherTest, JoinAbsorbsPastAnUnabsorbableFirstEdge) {
+  // Make the 4-edge path a-b-a-b-a a motif and cap the join snapshots at
+  // three matches per endpoint, so the only route to that path is one
+  // join whose first remaining edge cannot be absorbed yet:
+  //   1(a) -e0- 2(b) -e3- 3(a) -e2- 4(b) -e1- 5(a)
+  // Feeding the bridge e3 = (2,3) joins base {e0,e3} with {e1,e2}:
+  // remaining = {e1, e2}, and e1 touches the base only after e2 is in.
+  trie_.AddQuery(graph::PatternGraph::Path({a_, b_, a_, b_, a_}), 0.3);
+  MatcherConfig config;
+  config.max_matches_per_vertex = 3;
+  matcher_ = std::make_unique<MotifMatcher>(&trie_, &calc_, config);
+  Feed(E(0, 1, a_, 2, b_));
+  Feed(E(1, 5, a_, 4, b_));
+  Feed(E(2, 3, a_, 4, b_));
+  Feed(E(3, 2, b_, 3, a_));
+  bool found_path = false;
+  for (MatchHandle h : ml_.LiveAt(5)) {
+    const Match& m = ml_.match(h);
+    if (m.edges == std::vector<graph::EdgeId>{0, 1, 2, 3}) {
+      found_path = true;
+      EXPECT_EQ(m.vertices, (std::vector<graph::VertexId>{1, 2, 3, 4, 5}));
+    }
+  }
+  EXPECT_TRUE(found_path) << "the join must absorb e2 and then e1";
+}
+
 TEST_F(JoinMatcherTest, SquareCompletesViaAllFourEdges) {
   // Fig. 1's q1: the a-b-a-b square 1(a)-2(b)-3(a)-4(b)-1.
   Feed(E(0, 1, a_, 2, b_));

@@ -278,44 +278,6 @@ TEST(SimdOrderedTest, MultisetExtendsDuplicateHeavyDomains) {
   }
 }
 
-TEST(SimdOrderedTest, SortedDifferenceFuzzAndEdgeIdZero) {
-  util::Rng rng(0xD1FF);
-  for (int it = 0; it < 4000; ++it) {
-    // Haystacks across the kMaxQueryEdges regime (0..24) and beyond the
-    // vector path (25..40); needles overlap it about half the time.
-    const size_t n = it % 3 == 0 ? rng.Uniform(25) : rng.Uniform(41);
-    const size_t m = rng.Uniform(24);
-    std::vector<uint32_t> haystack(n), needles(m);
-    for (auto& h : haystack) {
-      // Include EdgeId 0 often: masked maskload lanes read 0 and must not
-      // fake a membership hit.
-      h = static_cast<uint32_t>(rng.Uniform(30));
-    }
-    std::sort(haystack.begin(), haystack.end());
-    for (auto& x : needles) x = static_cast<uint32_t>(rng.Uniform(30));
-    std::vector<uint32_t> want(m), got(m);
-    const size_t want_n =
-        SortedDifferenceU32(Level::kScalar, needles.data(), m, haystack.data(),
-                            n, want.data());
-    want.resize(want_n);
-    for (Level level : SimdLevels()) {
-      got.assign(m, 0xDEAD);
-      const size_t got_n = SortedDifferenceU32(level, needles.data(), m,
-                                               haystack.data(), n, got.data());
-      got.resize(got_n);
-      ASSERT_EQ(want, got) << "it=" << it << " n=" << n << " "
-                           << LevelName(level);
-      got.resize(m);
-    }
-    // In-place filtering (out == needles) is part of the contract.
-    std::vector<uint32_t> inplace = needles;
-    const size_t in_n = SortedDifferenceU32(inplace.data(), m, haystack.data(),
-                                            n, inplace.data());
-    inplace.resize(in_n);
-    ASSERT_EQ(want, inplace) << "it=" << it;
-  }
-}
-
 // ------------------------------------------------------- gather and tallies
 
 TEST(SimdTallyTest, GatherTallyFuzzWithOutOfRangeAndNoPartition) {

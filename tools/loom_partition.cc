@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -70,6 +71,21 @@ namespace {
 volatile std::sig_atomic_t g_stop_signal = 0;
 
 void HandleStopSignal(int sig) { g_stop_signal = sig; }
+
+// A stream header's counts size the partitioner's tables, so they are
+// capped by what the file can describe: one edge per 10 bytes (a binary
+// record is 12 bytes, the shortest text line "E 0 1 0 0\n" 10), and two
+// vertex ids per edge plus 2^20 ids of slack for sparse id spaces.
+constexpr uint64_t kMinEdgeRecordBytes = 10;
+constexpr uint64_t kSparseVertexSlack = uint64_t{1} << 20;
+
+uint64_t CapSizeHint(const char* field, uint64_t claimed, uint64_t cap) {
+  if (claimed <= cap) return claimed;
+  std::cerr << "warning: header " << field << " " << claimed << " exceeds "
+            << cap << ", the most this file's size allows; sizing for " << cap
+            << "\n";
+  return cap;
+}
 
 struct Args {
   std::string graph_path;
@@ -382,8 +398,11 @@ int main(int argc, char** argv) {
         std::cerr << "error: " << error << "\n";
         return 2;
       }
-      expected_vertices = info.vertex_count;
-      expected_edges = info.edge_count;
+      const uint64_t file_bytes = std::filesystem::file_size(args.input_path);
+      const uint64_t edge_cap = file_bytes / kMinEdgeRecordBytes;
+      expected_edges = CapSizeHint("edge_count", info.edge_count, edge_cap);
+      expected_vertices = CapSizeHint("vertex_count", info.vertex_count,
+                                      2 * edge_cap + kSparseVertexSlack);
       ds.meta.name = args.input_path;
       std::cerr << "stream: " << info.edge_count << " edges over "
                 << info.vertex_count << " vertices, " << info.labels.size()
