@@ -89,8 +89,10 @@ path_a, path_b, rev_a, rev_b, workload = sys.argv[1:]
 
 
 def load(path):
+    """One {metric: value} dict per run (run.py reports {value, unit})."""
     with open(path) as f:
-        return [json.loads(line)["metrics"] for line in f if line.strip()]
+        return [{name: m["value"] for name, m in json.loads(line)["metrics"].items()}
+                for line in f if line.strip()]
 
 
 def quartiles(xs):
